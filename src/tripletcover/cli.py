@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .construct import minimalize, minimum_cover, per_vertex_cover
@@ -36,25 +35,6 @@ from .twotree import is_two_tree
 EXIT_OK = 0
 EXIT_PROPERTY_FALSE = 1
 EXIT_INPUT_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    """One parsed invocation."""
-
-    command: str
-    tree_path: str | None = None
-    pairs_path: str | None = None
-    dist_path: str | None = None
-    strategy: str | None = None
-    fmt: str = "json"
-    force: bool = False
-    seed: int = 0
-    n: int | None = None
-    size: int | None = None
-    max_n: int | None = None
-    tolerance: float = 1e-9
-    lengths: tuple[float, float] | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,30 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    lengths = None
-    if getattr(args, "lengths", None):
-        parts = args.lengths.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"--lengths expects 'LO,HI', got {args.lengths!r}")
-        lengths = (float(parts[0]), float(parts[1]))
-    return RunConfig(
-        command=args.command,
-        tree_path=getattr(args, "tree", None),
-        pairs_path=getattr(args, "pairs", None),
-        dist_path=getattr(args, "dist", None),
-        strategy=getattr(args, "strategy", None),
-        fmt=getattr(args, "fmt", "json"),
-        force=getattr(args, "force", False),
-        seed=getattr(args, "seed", 0),
-        n=getattr(args, "n", None),
-        size=getattr(args, "size", None),
-        max_n=getattr(args, "max_n", None),
-        tolerance=getattr(args, "tolerance", 1e-9),
-        lengths=lengths,
-    )
-
-
 def _load_tree(path: str):
     return parse_newick(Path(path).read_text(encoding="utf-8"))
 
@@ -174,95 +130,99 @@ def _scalar_lines(payload: dict):
             yield f"{key}: {value}"
 
 
-def _run_verify(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_path)
-    cover = _load_cover(config.pairs_path, tree.labels)
+def _run_verify(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree)
+    cover = _load_cover(args.pairs, tree.labels)
     report = cover_report(tree, cover)
     report["multiplicities"] = cover.multiplicities()
     report["two_tree"] = is_two_tree(cover.cover_graph()) is not None
-    _emit(report, config.fmt, _scalar_lines)
+    _emit(report, args.fmt, _scalar_lines)
     return EXIT_OK if report["is_cover"] else EXIT_PROPERTY_FALSE
 
 
-def _run_construct(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_path)
-    if config.strategy == "per-vertex":
+def _run_construct(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree)
+    if args.strategy == "per-vertex":
         cover = per_vertex_cover(tree)
-    elif config.strategy == "minimum":
+    elif args.strategy == "minimum":
         cover = minimum_cover(tree)
     else:
-        if not config.pairs_path:
+        if not args.pairs:
             raise ValueError("--strategy minimalize requires --pairs")
-        cover = minimalize(tree, _load_cover(config.pairs_path, tree.labels))
+        cover = minimalize(tree, _load_cover(args.pairs, tree.labels))
     payload = {
-        "strategy": config.strategy,
+        "strategy": args.strategy,
         "size": len(cover),
         "pairs": [list(p) for p in cover.pairs],
     }
-    _emit(payload, config.fmt, lambda p: (f"{a} {b}" for a, b in cover.pairs))
+    _emit(payload, args.fmt, lambda p: (f"{a} {b}" for a, b in cover.pairs))
     return EXIT_OK
 
 
-def _run_shell(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_path)
-    cover = _load_cover(config.pairs_path, tree.labels)
-    trace, residual = shelling_closure(tree, cover, require_cover=not config.force)
+def _run_shell(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree)
+    cover = _load_cover(args.pairs, tree.labels)
+    trace, residual = shelling_closure(tree, cover, require_cover=not args.force)
     payload = {
         "shellable": not residual,
         "trace": trace.to_json(),
         "residual": [list(p) for p in sorted(residual)],
     }
-    _emit(payload, config.fmt, _scalar_lines)
+    _emit(payload, args.fmt, _scalar_lines)
     return EXIT_OK if not residual else EXIT_PROPERTY_FALSE
 
 
-def _run_complete(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_path)
-    cover = _load_cover(config.pairs_path, tree.labels)
-    partial = _load_distances(config.dist_path)
+def _run_complete(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree)
+    cover = _load_cover(args.pairs, tree.labels)
+    partial = _load_distances(args.dist)
     full = complete_distances(tree, cover, partial)
     payload = {"distances": [[a, b, v] for (a, b), v in full.items()]}
     _emit(
         payload,
-        config.fmt,
+        args.fmt,
         lambda p: (f"{a},{b},{v!r}" for (a, b), v in full.items()),
     )
     return EXIT_OK
 
 
-def _run_reconstruct(config: RunConfig) -> int:
-    dist = _load_distances(config.dist_path)
-    tree = reconstruct_tree(dist, dist.labels(), tolerance=config.tolerance)
+def _run_reconstruct(args: argparse.Namespace) -> int:
+    dist = _load_distances(args.dist)
+    tree = reconstruct_tree(dist, dist.labels(), tolerance=args.tolerance)
     payload = {"newick": tree.to_newick()}
-    _emit(payload, config.fmt, lambda p: (p["newick"],))
+    _emit(payload, args.fmt, lambda p: (p["newick"],))
     return EXIT_OK
 
 
-def _run_enumerate(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_path)
-    if config.max_n is not None and config.max_n > 8:
+def _run_enumerate(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree)
+    if args.max_n is not None and args.max_n > 8:
         raise ValueError("--max-n cannot exceed 8")
-    if config.size is not None:
-        if config.max_n is not None and tree.n_leaves > config.max_n:
-            raise ValueError(
-                f"tree has {tree.n_leaves} leaves, above --max-n {config.max_n}"
-            )
-        if config.size == 2 * tree.n_leaves - 3:
-            count = count_minimum_covers(tree, allow_large=config.max_n == 8)
+    if args.max_n is not None and tree.n_leaves > args.max_n:
+        raise ValueError(f"tree has {tree.n_leaves} leaves, above --max-n {args.max_n}")
+    if args.size is not None:
+        if args.size == 2 * tree.n_leaves - 3:
+            count = count_minimum_covers(tree, allow_large=args.max_n == 8)
         else:
-            count = len(enumerate_covers(tree, config.size))
-        payload = {"n": tree.n_leaves, "size": config.size, "cover_count": count}
-        _emit(payload, config.fmt, _scalar_lines)
+            count = len(enumerate_covers(tree, args.size))
+        payload = {"n": tree.n_leaves, "size": args.size, "cover_count": count}
+        _emit(payload, args.fmt, _scalar_lines)
         return EXIT_OK
     report = verify_theorems(tree).to_dict()
-    _emit(report, config.fmt, _scalar_lines)
+    _emit(report, args.fmt, _scalar_lines)
     return EXIT_OK if not report["counterexamples"] else EXIT_PROPERTY_FALSE
 
 
-def _run_random(config: RunConfig) -> int:
-    tree = random_tree(config.n, config.seed, config.lengths)
-    payload = {"n": config.n, "seed": config.seed, "newick": tree.to_newick()}
-    _emit(payload, config.fmt, lambda p: (p["newick"],))
+def _run_random(args: argparse.Namespace) -> int:
+    lengths = None
+    if args.lengths:
+        parts = args.lengths.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"--lengths expects 'LO,HI', got {args.lengths!r}")
+        lengths = (float(parts[0]), float(parts[1]))
+    tree = random_tree(args.n, args.seed, lengths)
+    payload = {"n": args.n, "seed": args.seed, "newick": tree.to_newick()}
+    _emit(payload, args.fmt, lambda p: (p["newick"],))
     return EXIT_OK
 
 
@@ -277,16 +237,10 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured invocation; returns the exit status."""
-    return _RUNNERS[config.command](config)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        return _RUNNERS[args.command](args)
     except (NotACoverError, NotShellableError, NotAdditiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FALSE

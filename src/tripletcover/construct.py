@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .cover import NotACoverError, TripletCover, is_triplet_cover, unsupported_vertices
+from .cover import TripletCover, _require_cover
 from .tree import PhyloTree, _norm_pair
 
 
@@ -57,11 +57,11 @@ def minimalize(tree: PhyloTree, cover: TripletCover) -> TripletCover:
     Different deletion orders may reach different minimal covers; the
     fixed order makes this one reproducible.
     """
-    if unsupported_vertices(tree, cover):
-        raise NotACoverError("minimalize requires a triplet cover")
-    current = set(cover.pairs)
-    for pair in cover.pairs:
-        trial = current - {pair}
-        if is_triplet_cover(tree, TripletCover(trial, cover.universe)):
-            current = trial
-    return TripletCover(current, cover.universe)
+    live = list(_require_cover(tree, cover).values())
+    kept = []
+    for a, b in cover.pairs:
+        if all(any(a not in t or b not in t for t in triples) for triples in live):
+            live = [[t for t in triples if a not in t or b not in t] for triples in live]
+        else:
+            kept.append((a, b))
+    return TripletCover(kept, cover.universe)

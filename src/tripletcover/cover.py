@@ -231,43 +231,59 @@ def triangles(cover: TripletCover) -> tuple[tuple[str, str, str], ...]:
     return tuple(found)
 
 
-def _transversal_triples(
-    tree: PhyloTree,
-    cover: TripletCover,
-    v: int,
-    tris: tuple[tuple[str, str, str], ...] | None = None,
-) -> list[tuple[str, str, str]]:
-    if tris is None:
-        tris = triangles(cover)
-    blocks = tree.components_at(v)
-    block_of = {x: i for i, block in enumerate(blocks) for x in block}
-    return [
-        t for t in tris if len({block_of[t[0]], block_of[t[1]], block_of[t[2]]}) == 3
-    ]
+def _supports(
+    tree: PhyloTree, cover: TripletCover, vertices: Iterable[int] | None = None
+) -> dict[int, list[tuple[str, str, str]]]:
+    """Each interior vertex (all by default) mapped to its supporting
+    triples: the cover triangles with one leaf in each of its leaf blocks."""
+    _check_universe(tree, cover)
+    tris = triangles(cover)
+    out = {}
+    for v in tree.interior_ids if vertices is None else vertices:
+        block_of = {x: i for i, block in enumerate(tree.components_at(v)) for x in block}
+        out[v] = [
+            t for t in tris if len({block_of[t[0]], block_of[t[1]], block_of[t[2]]}) == 3
+        ]
+    return out
+
+
+def _unsupported(supports: dict[int, list]) -> tuple[int, ...]:
+    return tuple(sorted(v for v, triples in supports.items() if not triples))
+
+
+def _require_cover(
+    tree: PhyloTree, cover: TripletCover
+) -> dict[int, list[tuple[str, str, str]]]:
+    """The support table, or NotACoverError if some vertex is unsupported."""
+    supports = _supports(tree, cover)
+    bad = _unsupported(supports)
+    if bad:
+        raise NotACoverError(
+            f"not a triplet cover: unsupported interior vertices {list(bad)}"
+        )
+    return supports
+
+
+def _all_indispensable(supports: dict[int, list], cover: TripletCover) -> bool:
+    """Minimality on a cover's support table: deleting a pair kills exactly
+    the triangles through it, so a pair is indispensable iff it lies in
+    every supporting triple of some vertex."""
+    needed = set()
+    for triples in supports.values():
+        needed |= set.intersection(*({(a, b), (a, c), (b, c)} for a, b, c in triples))
+    return len(needed) == len(cover)
 
 
 def support_set(tree: PhyloTree, cover: TripletCover, v: int) -> SupportSet:
     """The exact set of triples supporting interior vertex ``v``."""
-    _check_universe(tree, cover)
     if not tree.is_interior(v):
         raise TreeError(f"vertex {v} is not interior")
-    return SupportSet(v, frozenset(_transversal_triples(tree, cover, v)))
+    return SupportSet(v, frozenset(_supports(tree, cover, (v,))[v]))
 
 
 def unsupported_vertices(tree: PhyloTree, cover: TripletCover) -> tuple[int, ...]:
     """Interior vertices with empty support, sorted by id."""
-    _check_universe(tree, cover)
-    tris = triangles(cover)
-    bad = []
-    for v in tree.interior_ids:
-        blocks = tree.components_at(v)
-        block_of = {x: i for i, block in enumerate(blocks) for x in block}
-        for a, b, c in tris:
-            if len({block_of[a], block_of[b], block_of[c]}) == 3:
-                break
-        else:
-            bad.append(v)
-    return tuple(sorted(bad))
+    return _unsupported(_supports(tree, cover))
 
 
 def is_triplet_cover(tree: PhyloTree, cover: TripletCover) -> bool:
@@ -280,28 +296,11 @@ def support_graph(tree: PhyloTree, cover: TripletCover) -> SupportGraph:
 
     Vertices with empty support contribute no edges.
     """
-    _check_universe(tree, cover)
-    tris = triangles(cover)
     edges = []
-    for v in tree.interior_ids:
-        triples = _transversal_triples(tree, cover, v, tris)
-        if not triples:
-            continue
-        forced = set(triples[0])
-        for t in triples[1:]:
-            forced &= set(t)
-            if not forced:
-                break
-        edges.extend((x, v) for x in forced)
+    for v, triples in _supports(tree, cover).items():
+        if triples:
+            edges.extend((x, v) for x in set(triples[0]).intersection(*triples[1:]))
     return SupportGraph(tree.labels, tree.interior_ids, edges)
-
-
-def _require_cover(tree: PhyloTree, cover: TripletCover) -> None:
-    bad = unsupported_vertices(tree, cover)
-    if bad:
-        raise NotACoverError(
-            f"not a triplet cover: unsupported interior vertices {list(bad)}"
-        )
 
 
 def is_minimal(tree: PhyloTree, cover: TripletCover) -> bool:
@@ -309,11 +308,7 @@ def is_minimal(tree: PhyloTree, cover: TripletCover) -> bool:
 
     Raises NotACoverError when the input is not a triplet cover.
     """
-    _require_cover(tree, cover)
-    for pair in cover.pairs:
-        if is_triplet_cover(tree, cover.without_pair(pair)):
-            return False
-    return True
+    return _all_indispensable(_require_cover(tree, cover), cover)
 
 
 def is_minimum(tree: PhyloTree, cover: TripletCover) -> bool:
@@ -330,14 +325,14 @@ def is_minimum(tree: PhyloTree, cover: TripletCover) -> bool:
 def cover_report(tree: PhyloTree, cover: TripletCover) -> dict:
     """The predicate report: cover size, cover/minimal/minimum status,
     minimum multiplicity, and any unsupported vertices."""
-    _check_universe(tree, cover)
-    bad = unsupported_vertices(tree, cover)
+    supports = _supports(tree, cover)
+    bad = _unsupported(supports)
     covered = not bad
     return {
         "cover_size": len(cover),
         "is_cover": covered,
-        "is_minimal": is_minimal(tree, cover) if covered else None,
-        "is_minimum": is_minimum(tree, cover) if covered else None,
+        "is_minimal": _all_indispensable(supports, cover) if covered else None,
+        "is_minimum": len(cover) == 2 * tree.n_leaves - 3 if covered else None,
         "min_multiplicity": cover.min_multiplicity(),
         "unsupported_vertices": list(bad),
     }

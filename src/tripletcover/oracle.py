@@ -8,17 +8,13 @@ into a handful of vectorized mask comparisons over the whole
 combination block at once.
 
 The combination space is processed in contiguous rank chunks whose
-results are merged in rank order, so output is deterministic regardless
-of how many worker threads the TCK_THREADS environment variable allows.
+results are concatenated in rank order.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import comb
 from typing import Iterator, Sequence
 
@@ -26,7 +22,7 @@ import numpy as np
 
 from .cover import TripletCover, is_minimum
 from .shelling import is_shellable
-from .tree import PhyloTree, _norm_edge, _norm_pair
+from .tree import PhyloTree, _grow_tree, _norm_pair
 from .twotree import is_two_tree
 
 COUNT_LIMIT_DEFAULT = 7
@@ -38,45 +34,17 @@ _CACHE_LIMIT = 1 << 21  # combination blocks above ~2M masks are streamed, not c
 _mask_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
-def enumeration_threads() -> int:
-    """Worker count for chunked enumeration, bounded by TCK_THREADS."""
-    raw = os.environ.get("TCK_THREADS", "")
-    if not raw:
-        return 1
-    threads = int(raw)
-    if threads < 1:
-        raise ValueError(f"TCK_THREADS must be a positive integer, got {raw!r}")
-    return threads
-
-
 def enumerate_trees(labels: Sequence[str]) -> Iterator[PhyloTree]:
     """Every labelled topology on the given leaves, exactly once.
 
     Builds by attaching each successive label to every edge of every
     smaller tree, which yields all (2n-5)!! labelled topologies.
     """
-    labels = list(labels)
     if len(labels) < 3:
         raise ValueError("need at least 3 labels")
-
-    # state: (edge tuple, leaf-id map, next fresh id)
-    base = (((0, 1), (0, 2), (0, 3)), ((1, labels[0]), (2, labels[1]), (3, labels[2])), 4)
-    states = [base]
-    for k in range(3, len(labels)):
-        grown = []
-        for edges, leaf_ids, next_id in states:
-            for i, (u, v) in enumerate(edges):
-                mid, leaf = next_id, next_id + 1
-                new_edges = (
-                    edges[:i]
-                    + (_norm_edge(u, mid),)
-                    + edges[i + 1 :]
-                    + (_norm_edge(mid, v), _norm_edge(mid, leaf))
-                )
-                grown.append((new_edges, leaf_ids + ((leaf, labels[k]),), next_id + 2))
-        states = grown
-    for edges, leaf_ids, _ in states:
-        yield PhyloTree(edges, dict(leaf_ids))
+    # the k-leaf tree has 2k-3 edges to attach leaf k+1 to
+    for choices in product(*(range(2 * k - 3) for k in range(3, len(labels)))):
+        yield PhyloTree(*_grow_tree(labels, choices))
 
 
 class _PairContext:
@@ -151,29 +119,10 @@ def _mask_chunks(n_pairs: int, size: int) -> Iterator[np.ndarray]:
 
 
 def _covers_in(ctx: _PairContext, size: int) -> np.ndarray:
-    """Masks of all size-``size`` covers, merged in rank order.
-
-    Chunks may be filtered on a thread pool bounded by TCK_THREADS; the
-    in-flight window is bounded too, so streamed blocks never pile up.
-    """
-    chunks = _mask_chunks(ctx.n_pairs, size)
-    threads = enumeration_threads()
-    survivors: list[np.ndarray] = []
-
-    def filter_chunk(chunk: np.ndarray) -> np.ndarray:
-        return chunk[ctx.cover_flags(chunk)]
-
-    if threads == 1:
-        survivors.extend(filter_chunk(chunk) for chunk in chunks)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = deque()
-            for chunk in chunks:
-                pending.append(pool.submit(filter_chunk, chunk))
-                if len(pending) >= 2 * threads:
-                    survivors.append(pending.popleft().result())
-            while pending:
-                survivors.append(pending.popleft().result())
+    """Masks of all size-``size`` covers, in rank order."""
+    survivors = [
+        chunk[ctx.cover_flags(chunk)] for chunk in _mask_chunks(ctx.n_pairs, size)
+    ]
     if not survivors:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(survivors)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .cover import NotACoverError, TripletCover, unsupported_vertices
+from .cover import TripletCover, _require_cover
 from .tree import DistanceMap, PhyloTree, Quartet, _norm_pair
 
 
@@ -148,11 +148,7 @@ def shelling_closure(
     shellable for the tree.
     """
     if require_cover:
-        bad = unsupported_vertices(tree, cover)
-        if bad:
-            raise NotACoverError(
-                f"not a triplet cover: unsupported interior vertices {list(bad)}"
-            )
+        _require_cover(tree, cover)
     known = set(cover.pairs)
     missing = [p for p in combinations(tree.labels, 2) if p not in known]
     steps: list[ShellingStep] = []

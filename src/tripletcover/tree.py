@@ -13,6 +13,7 @@ trees always produce byte-identical text.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import string
@@ -20,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -101,6 +102,8 @@ class DistanceMap:
             value = float(value)
             if not value >= 0.0:
                 raise ValueError(f"distance for {key} must be >= 0, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"distance for {key} must be finite, got {value}")
             if key in norm and norm[key] != value:
                 raise ValueError(f"conflicting distances for pair {key}")
             norm[key] = value
@@ -249,6 +252,8 @@ class PhyloTree:
                 value = float(value)
                 if not value > 0.0:
                     raise TreeError(f"edge length for {key} must be > 0, got {value}")
+                if not math.isfinite(value):
+                    raise TreeError(f"edge length for {key} must be finite, got {value}")
                 lengths[key] = value
             if set(lengths) != set(edge_list):
                 raise TreeError("edge_lengths must cover exactly the edge set")
@@ -375,8 +380,16 @@ class PhyloTree:
         """
         if not self.is_interior(v):
             raise TreeError(f"vertex {v} is not interior")
-        blocks = [tuple(sorted(self._leaves_toward(u, v))) for u in self._adj[v]]
-        return tuple(sorted(blocks, key=lambda block: block[0]))
+        return self._blocks[v]
+
+    @cached_property
+    def _blocks(self) -> dict[int, tuple[tuple[str, ...], ...]]:
+        """components_at for every interior vertex (cached; tree is immutable)."""
+        out = {}
+        for v in self.interior_ids:
+            blocks = [tuple(sorted(self._leaves_toward(u, v))) for u in self._adj[v]]
+            out[v] = tuple(sorted(blocks, key=lambda block: block[0]))
+        return out
 
     @cached_property
     def _hops(self) -> dict[tuple[str, str], int]:
@@ -724,6 +737,29 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"t{i:0{width}d}" for i in range(1, n + 1))
 
 
+def _grow_tree(
+    labels: Sequence[str], choices: Iterable[int]
+) -> tuple[list[tuple[int, int]], dict[int, str]]:
+    """Edges and leaf ids of a tree grown one leaf at a time.
+
+    Starts from the star on ``labels[:3]`` (centre 0, leaves 1-3); then
+    leaf ``labels[k]`` subdivides edge ``choices[k-3]`` of the k-leaf tree
+    with vertex 2k-2 and hangs from it as vertex 2k-1.  The split edge
+    keeps its position and the two new edges are appended, so equal
+    choices always give equal ids and edge order.
+    """
+    edges = [(0, 1), (0, 2), (0, 3)]
+    leaf_ids = {1: labels[0], 2: labels[1], 3: labels[2]}
+    for k, i in enumerate(choices, start=3):
+        u, v = edges[i]
+        mid, leaf = 2 * k - 2, 2 * k - 1
+        edges[i] = _norm_edge(u, mid)
+        edges.append(_norm_edge(mid, v))
+        edges.append(_norm_edge(mid, leaf))
+        leaf_ids[leaf] = labels[k]
+    return edges, leaf_ids
+
+
 def random_tree(
     n: int,
     seed: int,
@@ -743,21 +779,9 @@ def random_tree(
         if not (0.0 < lo <= hi):
             raise TreeError(f"invalid length range {length_range}")
     rng = random.Random(seed)
-    labels = default_labels(n)
-
-    # ids: 0 is the first interior vertex, leaves and later interiors follow
-    edges: list[tuple[int, int]] = [(0, 1), (0, 2), (0, 3)]
-    leaf_ids = {1: labels[0], 2: labels[1], 3: labels[2]}
-    next_id = 4
-    for k in range(3, n):
-        i = rng.randrange(len(edges))
-        u, v = edges[i]
-        mid, leaf = next_id, next_id + 1
-        next_id += 2
-        edges[i] = _norm_edge(u, mid)
-        edges.append(_norm_edge(mid, v))
-        edges.append(_norm_edge(mid, leaf))
-        leaf_ids[leaf] = labels[k]
+    # the k-leaf tree has 2k-3 edges
+    choices = [rng.randrange(2 * k - 3) for k in range(3, n)]
+    edges, leaf_ids = _grow_tree(default_labels(n), choices)
 
     lengths = None
     if length_range is not None:

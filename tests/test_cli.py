@@ -206,6 +206,12 @@ class TestCompleteReconstruct:
         )
         assert code == 1
 
+    def test_reconstruct_infinite_distance_is_input_error(self, tmp_path, capsys):
+        csv = tmp_path / "inf.csv"
+        csv.write_text("a,b,inf\na,c,1\nb,c,1\n")
+        code, _ = run_cli(["reconstruct", "--dist", str(csv)], capsys)
+        assert code == 2
+
     def test_reconstruct(self, unit_csvs, capsys):
         _, full = unit_csvs
         code, out = run_cli(
@@ -237,6 +243,12 @@ class TestEnumerate:
     def test_max_n_guard(self, capsys):
         code, _ = run_cli(["enumerate", "--tree", FIVE, "--max-n", "9"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--size", "7"]])
+    def test_max_n_below_leaf_count(self, extra, capsys):
+        code, out = run_cli(["enumerate", "--tree", FIVE, "--max-n", "4"] + extra, capsys)
+        assert code == 2
+        assert out == ""
 
 
 class TestRandom:

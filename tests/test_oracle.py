@@ -149,7 +149,6 @@ class TestThreads:
 
         sequential = count_minimum_covers(five_leaf)
         baseline = [c.pairs for c in enumerate_covers(five_leaf, 7)]
-        monkeypatch.setenv("TCK_THREADS", "4")
         monkeypatch.setattr(oracle, "_CHUNK", 16)
         assert count_minimum_covers(five_leaf) == sequential
         assert [c.pairs for c in enumerate_covers(five_leaf, 7)] == baseline
@@ -162,10 +161,3 @@ class TestThreads:
         monkeypatch.setattr(oracle, "_CHUNK", 16)
         monkeypatch.setattr(oracle, "_mask_cache", {})
         assert [c.pairs for c in enumerate_covers(five_leaf, 7)] == baseline
-        monkeypatch.setenv("TCK_THREADS", "3")
-        assert [c.pairs for c in enumerate_covers(five_leaf, 7)] == baseline
-
-    def test_invalid_threads_rejected(self, five_leaf, monkeypatch):
-        monkeypatch.setenv("TCK_THREADS", "0")
-        with pytest.raises(ValueError):
-            count_minimum_covers(five_leaf)

@@ -54,6 +54,20 @@ class TestParsing:
         assert t.has_lengths
         assert t.leaf_distances([("a", "b")]).get("a", "b") == 3.0
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_edge_length(self, five_leaf, value):
+        with pytest.raises(TreeError):
+            five_leaf.with_edge_lengths(value)
+        lengths = dict.fromkeys(five_leaf.edges, 1.0)
+        lengths[five_leaf.edges[0]] = value
+        labels = {five_leaf.leaf_id(x): x for x in five_leaf.labels}
+        with pytest.raises(TreeError):
+            PhyloTree(five_leaf.edges, labels, lengths)
+
+    def test_rejects_overflowing_length(self):
+        with pytest.raises(TreeError):
+            parse_newick("((a:1e999,b:1),c:1,(d:1,e:1):1);")
+
     def test_whitespace_tolerated(self):
         t = parse_newick(" ( (a, b) , c , (d, e) ) ;\n")
         assert t.labels == ("a", "b", "c", "d", "e")
@@ -153,6 +167,23 @@ class TestComponents:
     def test_rejects_leaf(self, five_leaf):
         with pytest.raises(TreeError):
             five_leaf.components_at(five_leaf.leaf_id("a"))
+
+    def test_blocks_computed_lazily_once(self, monkeypatch):
+        tree = random_tree(12, 5)
+        smaller = tree.remove_leaf("a")
+        calls = []
+        original = PhyloTree._leaves_toward
+
+        def counted(self, start, banned):
+            calls.append(self)
+            return original(self, start, banned)
+
+        monkeypatch.setattr(PhyloTree, "_leaves_toward", counted)
+        for _ in range(3):
+            for v in tree.interior_ids:
+                tree.components_at(v)
+        assert calls == [tree] * 3 * len(tree.interior_ids)
+        assert "_blocks" not in smaller.__dict__
 
     @settings(max_examples=40, deadline=None)
     @given(random_trees)
@@ -349,6 +380,13 @@ class TestDistanceMap:
             DistanceMap({("a", "b"): -1.0})
         with pytest.raises(ValueError):
             DistanceMap({("a", "a"): 0.0})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            DistanceMap({("a", "b"): value})
+        with pytest.raises(ValueError):
+            DistanceMap.from_csv(f"a,b,{value}\n")
 
     def test_csv_round_trip(self):
         d = DistanceMap({("a", "b"): 1.25, ("a", "c"): 2.0, ("b", "c"): 0.75})
