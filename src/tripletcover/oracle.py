@@ -237,10 +237,11 @@ def verify_theorems(tree: PhyloTree, sample_limit: int = 50) -> EnumerationRepor
             covers_at_minimum = len(cover_masks)
             for m in cover_masks:
                 cov = ctx.cover_of_mask(int(m))
-                order = is_two_tree(cov.cover_graph())
+                graph = cov.cover_graph()
+                order = is_two_tree(graph)
                 if order is None:
                     note(f"minimum cover with non-2-tree graph: {cov.pairs}")
-                elif not order.validate(cov.cover_graph()):
+                elif not order.validate(graph):
                     note(f"elimination order fails to replay: {cov.pairs}")
                 if cov.min_multiplicity() != 2:
                     note(

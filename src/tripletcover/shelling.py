@@ -6,6 +6,10 @@ the quartet xa|yb and the five other pairs over that quartet are all
 known.  In that situation the four-point equality pins down the
 distance: d(a,b) = d(a,y) + d(b,x) - d(x,y).
 
+The quartet is read off the tree's table of edge counts h by the strict
+four-point inequality: the tree restricts to xa|yb exactly when
+h(a,x) + h(b,y) < min(h(a,b) + h(x,y), h(a,y) + h(b,x)).
+
 The closure greedily saturates the known set.  Derivability is monotone
 in the known set, so the fixpoint (and hence the residual) does not
 depend on the scan order; the lexicographic scan below only fixes which
@@ -14,6 +18,7 @@ trace is produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -118,21 +123,16 @@ def find_witness(
     """First witness pair (x, y), scanning lexicographically, such that the
     tree restricts to xa|yb on {a,b,x,y} and the other five pairs are in
     ``known``.  Returns None when the pair is not yet derivable."""
-    others = [z for z in tree.labels if z != a and z != b]
-    for x in others:
-        if _norm_pair(a, x) not in known:
-            continue
-        for y in others:
-            if y == x:
-                continue
-            if (
-                _norm_pair(a, y) in known
-                and _norm_pair(b, x) in known
-                and _norm_pair(b, y) in known
-                and _norm_pair(x, y) in known
-            ):
-                quartet = tree.quartet_topology(a, b, x, y)
-                if quartet.split() == {frozenset((x, a)), frozenset((y, b))}:
+    h = tree._hops
+    ha, hb = h[a], h[b]
+    others = (z for z in tree.labels if z != a and z != b)
+    both = [z for z in others if _norm_pair(a, z) in known and _norm_pair(b, z) in known]
+    for x in both:
+        hx = h[x]
+        for y in both:
+            # xa|yb is the strictly smallest of the three pair sums
+            if y != x and ha[x] + hb[y] < min(ha[b] + hx[y], ha[y] + hb[x]):
+                if _norm_pair(x, y) in known:
                     return (x, y)
     return None
 
@@ -167,7 +167,7 @@ def shelling_closure(
                 pair=(a, b),
                 witness_x=x,
                 witness_y=y,
-                quartet=tree.quartet_topology(a, b, x, y),
+                quartet=Quartet.of((a, x), (b, y)),
             )
         )
         known.add((a, b))
@@ -227,8 +227,11 @@ def reconstruct_tree(
     cherry is replaced by its attachment vertex and the metric reduced
     exactly.  Raises NotAdditiveError when no cherry exists, when an
     implied edge length is not strictly positive, or when the rebuilt
-    tree fails to reproduce the input within ``tolerance``.
+    tree fails to reproduce the input within ``tolerance``, and
+    ValueError unless ``tolerance`` is finite and nonnegative.
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     names = sorted(set(labels))
     if len(names) < 3:
         raise ValueError("reconstruction needs at least three labels")

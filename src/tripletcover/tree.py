@@ -358,21 +358,6 @@ class PhyloTree:
         assert len(common) == 1, "pairwise paths in a tree meet in one vertex"
         return common.pop()
 
-    def _leaves_toward(self, start: int, banned: int) -> list[str]:
-        """Labels of leaves reachable from ``start`` without crossing ``banned``."""
-        out: list[str] = []
-        seen = {banned, start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            if u in self._leaf_label:
-                out.append(self._leaf_label[u])
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return out
-
     def components_at(self, v: int) -> tuple[tuple[str, ...], ...]:
         """The partition of X into the three leaf sets hanging off ``v``.
 
@@ -383,31 +368,68 @@ class PhyloTree:
         return self._blocks[v]
 
     @cached_property
+    def _rooted(self) -> tuple[list[int], dict[int, int | None], dict[int, list[int]]]:
+        """The tree hung from the canonical Newick root, the interior vertex
+        next to the smallest leaf, as (order, parent, children): vertices
+        parents first, the root's parent None, and the children of each
+        interior vertex ordered by the smallest leaf below them (cached;
+        tree is immutable)."""
+        root = self._adj[self._label_leaf[self.labels[0]]][0]
+        parent: dict[int, int | None] = {root: None}
+        order = [root]
+        for u in order:
+            for w in self._adj[u]:
+                if w != parent[u]:
+                    parent[w] = u
+                    order.append(w)
+        first = dict(self._leaf_label)
+        children = {}
+        for v in reversed(order):
+            if v not in first:
+                kids = sorted((w for w in self._adj[v] if w != parent[v]), key=first.get)
+                children[v], first[v] = kids, first[kids[0]]
+        return order, parent, children
+
+    @cached_property
     def _blocks(self) -> dict[int, tuple[tuple[str, ...], ...]]:
-        """components_at for every interior vertex (cached; tree is immutable)."""
+        """components_at for every interior vertex: the leaves below each
+        child in the rooted walk plus, off the root, all other leaves
+        (cached; tree is immutable)."""
+        order, parent, children = self._rooted
+        labels = self.labels
+        below = {v: (label,) for v, label in self._leaf_label.items()}
         out = {}
-        for v in self.interior_ids:
-            blocks = [tuple(sorted(self._leaves_toward(u, v))) for u in self._adj[v]]
+        for v in reversed(order):
+            if v in below:
+                continue
+            blocks = [below[w] for w in children[v]]
+            below[v] = tuple(sorted(x for block in blocks for x in block))
+            if parent[v] is not None:
+                inside = set(below[v])
+                # from a list: tuple() of a generator grows by realloc, which
+                # fragments the heap when many trees are built
+                blocks.append(tuple([x for x in labels if x not in inside]))
             out[v] = tuple(sorted(blocks, key=lambda block: block[0]))
         return out
 
+    def _walk_from(self, src: str, lengths: dict | None = None) -> dict[str, float]:
+        """Path length from leaf ``src`` to every leaf, keyed by label: edge
+        counts, or sums of ``lengths`` along the path."""
+        start = self._label_leaf[src]
+        dist = {start: 0}
+        queue = [start]
+        for u in queue:
+            for w in self._adj[u]:
+                if w not in dist:
+                    step = 1 if lengths is None else lengths[_norm_edge(u, w)]
+                    dist[w] = dist[u] + step
+                    queue.append(w)
+        return {label: dist[v] for v, label in self._leaf_label.items()}
+
     @cached_property
-    def _hops(self) -> dict[tuple[str, str], int]:
-        """Edge counts between every pair of leaves (cached; tree is immutable)."""
-        out: dict[tuple[str, str], int] = {}
-        for src_label, src in self._label_leaf.items():
-            depth = {src: 0}
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if w not in depth:
-                        depth[w] = depth[u] + 1
-                        queue.append(w)
-            for dst_label, dst in self._label_leaf.items():
-                if src_label < dst_label:
-                    out[(src_label, dst_label)] = depth[dst]
-        return out
+    def _hops(self) -> dict[str, dict[str, int]]:
+        """Edge counts between leaves, as ``h[a][b]`` (cached; tree is immutable)."""
+        return {label: self._walk_from(label) for label in self._label_leaf}
 
     def quartet_topology(self, a: str, b: str, c: str, d: str) -> Quartet:
         """The induced split of the tree restricted to four leaves.
@@ -420,15 +442,13 @@ class PhyloTree:
             raise TreeError(f"quartet needs four distinct leaves, got {four}")
         for x in four:
             self.leaf_id(x)
-        hops = self._hops
+        h = self._hops
         pairings = [
             ((a, b), (c, d)),
             ((a, c), (b, d)),
             ((a, d), (b, c)),
         ]
-        sums = [
-            hops[_norm_pair(*p)] + hops[_norm_pair(*q)] for p, q in pairings
-        ]
+        sums = [h[p][q] + h[r][s] for (p, q), (r, s) in pairings]
         best = min(range(3), key=lambda i: sums[i])
         assert sums.count(sums[best]) == 1, "binary trees induce a unique minimum"
         return Quartet.of(*pairings[best])
@@ -496,22 +516,8 @@ class PhyloTree:
             for a, b in wanted:
                 self.leaf_id(a)
                 self.leaf_id(b)
-        sources = {a for a, _ in wanted}
-        entries: dict[tuple[str, str], float] = {}
-        for src_label in sources:
-            src = self._label_leaf[src_label]
-            dist = {src: 0.0}
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + self._lengths[_norm_edge(u, w)]
-                        queue.append(w)
-            for a, b in wanted:
-                if a == src_label:
-                    entries[(a, b)] = dist[self._label_leaf[b]]
-        return DistanceMap(entries)
+        walks = {a: self._walk_from(a, self._lengths) for a in {a for a, _ in wanted}}
+        return DistanceMap({(a, b): walks[a][b] for a, b in wanted})
 
     # ------------------------------------------------------------------
     # serialization and derived trees
@@ -525,26 +531,16 @@ class PhyloTree:
         if include_lengths and not self.has_lengths:
             raise TreeError("tree has no edge lengths to serialize")
 
-        def render(v: int, parent: int) -> tuple[str, str]:
-            suffix = (
-                f":{self._lengths[_norm_edge(v, parent)]!r}" if include_lengths else ""
-            )
+        order, parent, children = self._rooted
+        text: dict[int, str] = {}
+        for v in reversed(order):
             if v in self._leaf_label:
-                name = self._leaf_label[v]
-                return name + suffix, name
-            parts = sorted(
-                render(u, v) for u in self._adj[v] if u != parent
-            )
-            parts.sort(key=lambda item: item[1])
-            text = "(" + ",".join(item[0] for item in parts) + ")" + suffix
-            return text, min(item[1] for item in parts)
-
-        smallest = self.labels[0]
-        root = self._adj[self._label_leaf[smallest]][0]
-        parts = sorted(
-            (render(u, root) for u in self._adj[root]), key=lambda item: item[1]
-        )
-        return "(" + ",".join(item[0] for item in parts) + ");"
+                text[v] = self._leaf_label[v]
+            else:
+                text[v] = "(" + ",".join(text.pop(w) for w in children[v]) + ")"
+            if include_lengths and parent[v] is not None:
+                text[v] += f":{self._lengths[_norm_edge(v, parent[v])]!r}"
+        return text[order[0]] + ";"
 
     def topology_key(self) -> str:
         """Canonical Newick without lengths; equal iff trees are isomorphic."""
@@ -578,18 +574,16 @@ class PhyloTree:
         """
         if self._lengths is None:
             raise TreeError("tree has no edge lengths")
-        smallest = self.labels[0]
+        parent = self._rooted[1]
         out: dict[object, float] = {}
         for u, v in self._edges:
-            if u in self._leaf_label:
-                out[self._leaf_label[u]] = self._lengths[(u, v)]
-            elif v in self._leaf_label:
-                out[self._leaf_label[v]] = self._lengths[(u, v)]
+            child = u if parent[u] == v else v
+            if child in self._leaf_label:
+                out[self._leaf_label[child]] = self._lengths[(u, v)]
             else:
-                side = frozenset(self._leaves_toward(u, v))
-                if smallest in side:
-                    side = frozenset(self.labels) - side
-                out[side] = self._lengths[(u, v)]
+                # the first block at a non-root vertex holds the smallest leaf
+                _, left, right = self._blocks[child]
+                out[frozenset(left + right)] = self._lengths[(u, v)]
         return out
 
     def __repr__(self) -> str:
@@ -602,7 +596,9 @@ class PhyloTree:
 
 
 class _NewickParser:
-    """Single-pass recursive-descent parser for trifurcating Newick text."""
+    """Single-pass parser for trifurcating Newick text.  Open groups live
+    on an explicit stack, so nesting depth is not bounded by the
+    interpreter's recursion limit; vertex ids are handed out in preorder."""
 
     def __init__(self, text: str):
         self.text = text
@@ -631,12 +627,43 @@ class _NewickParser:
         self.skip_ws()
         if self.peek() != "(":
             raise self.error("expected '(' to open the tree")
-        root = self.fresh_id()
-        count = self.parse_group_children(root)
-        if count != 3:
-            raise self.error(
-                f"non-binary vertex: the root trifurcation has {count} children"
-            )
+        self.pos += 1
+        # open groups, innermost last: [vertex id, children parsed so far]
+        groups = [[self.fresh_id(), 0]]
+        while groups:
+            self.skip_ws()
+            node = self.fresh_id()
+            if self.peek() == "(":
+                self.pos += 1
+                groups.append([node, 0])
+                continue
+            match = _LABEL_RE.match(self.text, self.pos)
+            if not match:
+                raise self.error("expected a leaf label or '('")
+            label = match.group()
+            self.pos = match.end()
+            if label in self.leaf_labels.values():
+                raise self.error(f"duplicate label {label!r}")
+            self.leaf_labels[node] = label
+            self.add_edge(groups[-1][0], node)
+            # close every group that ends after this leaf
+            while True:
+                groups[-1][1] += 1
+                self.skip_ws()
+                ch = self.peek()
+                if ch == ",":
+                    self.pos += 1
+                    break
+                if ch != ")":
+                    raise self.error("expected ',' or ')'")
+                self.pos += 1
+                node, count = groups.pop()
+                if count != (2 if groups else 3):
+                    where = "an internal group" if groups else "the root trifurcation"
+                    raise self.error(f"non-binary vertex: {where} has {count} children")
+                if not groups:
+                    break
+                self.add_edge(groups[-1][0], node)
         self.skip_ws()
         if self.peek() != ";":
             raise self.error("expected ';' terminator")
@@ -653,41 +680,8 @@ class _NewickParser:
         lengths = dict(self.edge_length) if given else None
         return PhyloTree(self.edges, self.leaf_labels, lengths)
 
-    def parse_group_children(self, parent: int) -> int:
-        assert self.peek() == "("
-        self.pos += 1
-        count = 0
-        while True:
-            self.parse_subtree(parent)
-            count += 1
-            self.skip_ws()
-            ch = self.peek()
-            if ch == ",":
-                self.pos += 1
-                continue
-            if ch == ")":
-                self.pos += 1
-                return count
-            raise self.error("expected ',' or ')'")
-
-    def parse_subtree(self, parent: int) -> None:
-        self.skip_ws()
-        node = self.fresh_id()
-        if self.peek() == "(":
-            count = self.parse_group_children(node)
-            if count != 2:
-                raise self.error(
-                    f"non-binary vertex: an internal group has {count} children"
-                )
-        else:
-            match = _LABEL_RE.match(self.text, self.pos)
-            if not match:
-                raise self.error("expected a leaf label or '('")
-            label = match.group()
-            self.pos = match.end()
-            if label in self.leaf_labels.values():
-                raise self.error(f"duplicate label {label!r}")
-            self.leaf_labels[node] = label
+    def add_edge(self, parent: int, node: int) -> None:
+        """Record the edge above a complete subtree, with its optional length."""
         length = self.parse_optional_length()
         edge = _norm_edge(parent, node)
         self.edges.append(edge)

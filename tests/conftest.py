@@ -60,6 +60,18 @@ def frozen_counts():
     return json.loads((FIXTURES / "frozen_counts.json").read_text())
 
 
+def caterpillar(labels) -> PhyloTree:
+    """The caterpillar on n >= 4 ``labels``: a spine of interior vertices
+    0..n-3 with labels[0] and labels[1] on the first, labels[i+1] on spine
+    vertex i, and the last two labels on the last spine vertex."""
+    n = len(labels)
+    spine = n - 2
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    hang = [0, 0, *range(1, spine - 1), spine - 1, spine - 1]
+    edges += [(at, spine + k) for k, at in enumerate(hang)]
+    return PhyloTree(edges, {spine + k: label for k, label in enumerate(labels)})
+
+
 # ----------------------------------------------------------------------
 # oracles
 # ----------------------------------------------------------------------

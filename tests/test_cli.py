@@ -10,6 +10,8 @@ import pytest
 
 from tripletcover.cli import main
 
+from conftest import caterpillar
+
 FIXTURES = Path(__file__).parent / "fixtures"
 EXPECTED = FIXTURES / "expected"
 REPO = Path(__file__).parent.parent
@@ -220,6 +222,13 @@ class TestCompleteReconstruct:
         assert code == 0
         assert out.strip() == "(a:1.0,b:1.0,(c:1.0,(d:1.0,e:1.0):1.0):1.0);"
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_reconstruct_bad_tolerance_is_input_error(self, unit_csvs, tolerance, capsys):
+        _, full = unit_csvs
+        code = main(["reconstruct", "--dist", full, "--tolerance", tolerance])
+        assert code == 2
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
     def test_reconstruct_degenerate_is_property_false(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,2.0\na,c,3.0\nb,c,5.0\n")
@@ -243,6 +252,14 @@ class TestEnumerate:
     def test_max_n_guard(self, capsys):
         code, _ = run_cli(["enumerate", "--tree", FIVE, "--max-n", "9"], capsys)
         assert code == 2
+
+    def test_deep_tree_is_input_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.nwk"
+        deep.write_text(caterpillar([f"x{i:04d}" for i in range(1500)]).to_newick())
+        code = main(["enumerate", "--tree", str(deep)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: enumeration supports 3 <= |X| <= 6 leaves, got 1500\n"
 
     @pytest.mark.parametrize("extra", [[], ["--size", "7"]])
     def test_max_n_below_leaf_count(self, extra, capsys):

@@ -184,6 +184,13 @@ class TestReconstruct:
         with pytest.raises(NotAdditiveError):
             reconstruct_tree(DistanceMap(entries), "abcd")
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+    def test_bad_tolerance_rejected(self, five_leaf, tolerance):
+        full = five_leaf.with_edge_lengths(1.0).leaf_distances("all")
+        with pytest.raises(ValueError, match="tolerance") as info:
+            reconstruct_tree(full, five_leaf.labels, tolerance=tolerance)
+        assert not isinstance(info.value, NotAdditiveError)
+
     def test_missing_pairs_rejected(self):
         d = DistanceMap({("a", "b"): 1.0, ("a", "c"): 1.0})
         with pytest.raises(ValueError, match="missing"):

@@ -1,6 +1,7 @@
 """Tree representation, parsing, and elementary queries."""
 
 import math
+from functools import cached_property
 from itertools import combinations, permutations
 
 import pytest
@@ -19,6 +20,7 @@ from tripletcover import (
 )
 
 from conftest import (
+    caterpillar,
     path_distance_oracle,
     quartet_split_oracle,
     splits_oracle,
@@ -116,6 +118,12 @@ class TestSerialization:
     def test_round_trip_isomorphic(self, tree):
         assert trees_isomorphic(tree, parse_newick(serialize_newick(tree)))
 
+    def test_deep_caterpillar_round_trips(self):
+        tree = caterpillar([f"x{i:04d}" for i in range(5000)])
+        for t in (tree, tree.with_edge_lengths(1.5)):
+            text = t.to_newick()
+            assert parse_newick(text).to_newick() == text
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 10), st.integers(0, 500))
     def test_round_trip_with_lengths_exact(self, n, seed):
@@ -169,21 +177,26 @@ class TestComponents:
             five_leaf.components_at(five_leaf.leaf_id("a"))
 
     def test_blocks_computed_lazily_once(self, monkeypatch):
-        tree = random_tree(12, 5)
+        tree = random_tree(12, 5, (0.5, 2.0))
         smaller = tree.remove_leaf("a")
         calls = []
-        original = PhyloTree._leaves_toward
+        original = PhyloTree._rooted.func
 
-        def counted(self, start, banned):
+        def counted(self):
             calls.append(self)
-            return original(self, start, banned)
+            return original(self)
 
-        monkeypatch.setattr(PhyloTree, "_leaves_toward", counted)
+        walk = cached_property(counted)
+        walk.__set_name__(PhyloTree, "_rooted")
+        monkeypatch.setattr(PhyloTree, "_rooted", walk)
         for _ in range(3):
             for v in tree.interior_ids:
                 tree.components_at(v)
-        assert calls == [tree] * 3 * len(tree.interior_ids)
+            tree.split_lengths()
+            tree.to_newick()
+        assert calls == [tree]
         assert "_blocks" not in smaller.__dict__
+        assert "_rooted" not in smaller.__dict__
 
     @settings(max_examples=40, deadline=None)
     @given(random_trees)
