@@ -1,20 +1,26 @@
 """Exhaustive small-instance enumeration and theorem sweeps.
 
 Pair sets are encoded as bitmasks over the at most C(8,2) = 28 possible
-pairs.  For a fixed tree, a subset is a triplet cover iff for every
-interior vertex at least one of its transversal triples (precomputed as
-a 3-bit mask) is contained in the subset, which turns the cover check
-into a handful of vectorized mask comparisons over the whole
-combination block at once.
+pairs.  Pair i of ``combinations(labels, 2)`` is bit m-1-i, where m is
+the number of pairs, so the lexicographic (combination-rank) order of
+the subsets of one size is descending mask order.  For a fixed tree, a
+subset is a triplet cover iff for every interior vertex at least one of
+its transversal triples (precomputed as a 3-bit mask) is contained in
+the subset, which turns the cover check into a handful of vectorized
+mask comparisons over a whole chunk of subsets at once.
 
-The combination space is processed in contiguous rank chunks whose
-results are concatenated in rank order.
+The subsets of one size are generated in chunks, one for each value H
+of the bits above the lowest ``_LOW_BITS``, in descending order of H: the
+chunk is H joined with every subset of the low bits that completes the
+size, laid out once per process in descending order.  Chunks therefore
+come in rank order, and none holds more than C(18, 9) = 48,620 masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from dataclasses import asdict, dataclass, field
+from functools import cache
+from itertools import combinations, product
 from math import comb
 from typing import Iterator, Sequence
 
@@ -22,16 +28,14 @@ import numpy as np
 
 from .cover import TripletCover, is_minimum
 from .shelling import is_shellable
-from .tree import PhyloTree, _grow_tree, _norm_pair
+from .tree import PhyloTree, _grow_tree
 from .twotree import is_two_tree
 
 COUNT_LIMIT_DEFAULT = 7
 COUNT_LIMIT_HARD = 8
 SWEEP_LIMIT = 6
 
-_CHUNK = 1 << 16
-_CACHE_LIMIT = 1 << 21  # combination blocks above ~2M masks are streamed, not cached
-_mask_cache: dict[tuple[int, int], np.ndarray] = {}
+_LOW_BITS = 18
 
 
 def enumerate_trees(labels: Sequence[str]) -> Iterator[PhyloTree]:
@@ -54,78 +58,65 @@ class _PairContext:
         self.tree = tree
         self.labels = tree.labels
         self.pair_list = list(combinations(self.labels, 2))
-        self.bit = {pair: 1 << i for i, pair in enumerate(self.pair_list)}
         self.n_pairs = len(self.pair_list)
-        self.vertex_triple_masks: list[list[int]] = []
-        for v in tree.interior_ids:
-            blocks = tree.components_at(v)
-            masks = []
-            for a in blocks[0]:
-                for b in blocks[1]:
-                    for c in blocks[2]:
-                        masks.append(
-                            self.bit[_norm_pair(a, b)]
-                            | self.bit[_norm_pair(a, c)]
-                            | self.bit[_norm_pair(b, c)]
-                        )
-            self.vertex_triple_masks.append(sorted(masks))
+        bit: dict[str, dict[str, int]] = {z: {} for z in self.labels}
+        for i, (a, b) in enumerate(self.pair_list):
+            bit[a][b] = bit[b][a] = 1 << (self.n_pairs - 1 - i)
+        self.vertex_triple_masks = [
+            [bit[a][b] | bit[a][c] | bit[b][c] for a in xs for b in ys for c in zs]
+            for xs, ys, zs in map(tree.components_at, tree.interior_ids)
+        ]
 
-    def cover_flags(self, masks: np.ndarray) -> np.ndarray:
-        """Boolean array: which subset masks are triplet covers."""
-        ok = np.ones(len(masks), dtype=bool)
+    def covers(self, masks: np.ndarray) -> np.ndarray:
+        """The subset masks that are triplet covers, in their given order."""
         for triple_masks in self.vertex_triple_masks:
             supported = np.zeros(len(masks), dtype=bool)
             for t in triple_masks:
                 supported |= (masks & t) == t
-            ok &= supported
-            if not ok.any():
-                break
-        return ok
+            masks = masks[supported]
+        return masks
 
     def pairs_of_mask(self, mask: int) -> tuple[tuple[str, str], ...]:
+        top = self.n_pairs - 1
         return tuple(
-            pair for i, pair in enumerate(self.pair_list) if mask >> i & 1
+            pair for i, pair in enumerate(self.pair_list) if mask >> (top - i) & 1
         )
 
     def cover_of_mask(self, mask: int) -> TripletCover:
         return TripletCover(self.pairs_of_mask(mask), self.labels)
 
 
+@cache
+def _low_rows(low: int) -> tuple[np.ndarray, ...]:
+    """Every subset of the lowest ``low`` bits; entry j holds those of
+    size j in descending order.  Read-only, shared by all callers."""
+    empty = np.empty(0, dtype=np.int64)
+    rows = [np.zeros(1, dtype=np.int64)]
+    for i in range(low):
+        # bit i is the highest so far: the subsets holding it come first
+        padded = [empty, *rows, empty]
+        rows = [np.concatenate((padded[j] | 1 << i, padded[j + 1])) for j in range(i + 2)]
+    for row in rows:
+        row.flags.writeable = False
+    return tuple(rows)
+
+
 def _mask_chunks(n_pairs: int, size: int) -> Iterator[np.ndarray]:
-    """All C(n_pairs, size) subset masks, in combination-rank order, as
-    contiguous chunks.  Small blocks are cached whole; huge ones (only the
-    8-leaf override reaches them) are streamed one chunk at a time."""
-    key = (n_pairs, size)
-    cached = _mask_cache.get(key)
-    if cached is None:
-        combos = combinations(range(n_pairs), size)
-        total = comb(n_pairs, size)
-        if total > _CACHE_LIMIT:
-            while True:
-                block = list(islice(combos, _CHUNK))
-                if not block:
-                    return
-                yield np.fromiter(
-                    (sum(1 << i for i in c) for c in block),
-                    dtype=np.int64,
-                    count=len(block),
-                )
-        cached = np.fromiter(
-            (sum(1 << i for i in c) for c in combos), dtype=np.int64, count=total
-        )
-        _mask_cache[key] = cached
-    for i in range(0, len(cached), _CHUNK):
-        yield cached[i : i + _CHUNK]
+    """All C(n_pairs, size) subset masks, in combination-rank order
+    (descending), as one chunk per value of the bits above the low ones."""
+    low = min(n_pairs, _LOW_BITS)
+    rows = _low_rows(low)
+    for high in range((1 << (n_pairs - low)) - 1, -1, -1):
+        rest = size - high.bit_count()
+        if 0 <= rest <= low:
+            yield (high << low) | rows[rest]
 
 
 def _covers_in(ctx: _PairContext, size: int) -> np.ndarray:
     """Masks of all size-``size`` covers, in rank order."""
-    survivors = [
-        chunk[ctx.cover_flags(chunk)] for chunk in _mask_chunks(ctx.n_pairs, size)
-    ]
-    if not survivors:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(survivors)
+    return np.concatenate(
+        [ctx.covers(chunk) for chunk in _mask_chunks(ctx.n_pairs, size)]
+    )
 
 
 def _check_enumeration_size(tree: PhyloTree, limit: int) -> None:
@@ -174,18 +165,10 @@ class EnumerationReport:
     larger_shellable: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "tree": self.tree,
-            "n": self.n,
-            "subsets_examined": self.subsets_examined,
-            "covers_at_minimum": self.covers_at_minimum,
-            "min_cover_size": self.min_cover_size,
-            "counterexamples": list(self.counterexamples),
-            "covers_by_size": {str(k): v for k, v in sorted(self.covers_by_size.items())},
-            "shellable_at_minimum": self.shellable_at_minimum,
-            "larger_sampled": self.larger_sampled,
-            "larger_shellable": self.larger_shellable,
-        }
+        d = asdict(self)  # keys in field order
+        d["counterexamples"] = list(self.counterexamples)
+        d["covers_by_size"] = {str(k): v for k, v in sorted(self.covers_by_size.items())}
+        return d
 
 
 def verify_theorems(tree: PhyloTree, sample_limit: int = 50) -> EnumerationReport:

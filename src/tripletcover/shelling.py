@@ -123,16 +123,26 @@ def find_witness(
     """First witness pair (x, y), scanning lexicographically, such that the
     tree restricts to xa|yb on {a,b,x,y} and the other five pairs are in
     ``known``.  Returns None when the pair is not yet derivable."""
+    return _witness(tree, _partner_sets(tree.labels, known), a, b)
+
+
+def _partner_sets(labels: tuple[str, ...], known: set) -> dict[str, set[str]]:
+    """Each leaf's partners: the leaves it forms a pair in ``known`` with."""
+    return {z: {w for w in labels if w != z and _norm_pair(z, w) in known} for z in labels}
+
+
+def _witness(
+    tree: PhyloTree, partners: dict[str, set[str]], a: str, b: str
+) -> tuple[str, str] | None:
     h = tree._hops
     ha, hb = h[a], h[b]
-    others = (z for z in tree.labels if z != a and z != b)
-    both = [z for z in others if _norm_pair(a, z) in known and _norm_pair(b, z) in known]
+    both = sorted(partners[a] & partners[b])
     for x in both:
-        hx = h[x]
+        hx, px = h[x], partners[x]
         for y in both:
             # xa|yb is the strictly smallest of the three pair sums
             if y != x and ha[x] + hb[y] < min(ha[b] + hx[y], ha[y] + hb[x]):
-                if _norm_pair(x, y) in known:
+                if y in px:
                     return (x, y)
     return None
 
@@ -150,12 +160,13 @@ def shelling_closure(
     if require_cover:
         _require_cover(tree, cover)
     known = set(cover.pairs)
+    partners = _partner_sets(tree.labels, known)
     missing = [p for p in combinations(tree.labels, 2) if p not in known]
     steps: list[ShellingStep] = []
     while missing:
         hit = None
         for a, b in missing:
-            witness = find_witness(tree, known, a, b)
+            witness = _witness(tree, partners, a, b)
             if witness is not None:
                 hit = ((a, b), witness)
                 break
@@ -170,7 +181,8 @@ def shelling_closure(
                 quartet=Quartet.of((a, x), (b, y)),
             )
         )
-        known.add((a, b))
+        partners[a].add(b)
+        partners[b].add(a)
         missing.remove((a, b))
     return ShellingTrace(tuple(steps)), frozenset(missing)
 

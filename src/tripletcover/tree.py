@@ -607,6 +607,7 @@ class _NewickParser:
         self.edges: list[tuple[int, int]] = []
         self.edge_length: dict[tuple[int, int], float | None] = {}
         self.leaf_labels: dict[int, str] = {}
+        self.seen_labels: set[str] = set()
 
     def error(self, message: str) -> NewickParseError:
         return NewickParseError(message, self.pos)
@@ -642,8 +643,9 @@ class _NewickParser:
                 raise self.error("expected a leaf label or '('")
             label = match.group()
             self.pos = match.end()
-            if label in self.leaf_labels.values():
+            if label in self.seen_labels:
                 raise self.error(f"duplicate label {label!r}")
+            self.seen_labels.add(label)
             self.leaf_labels[node] = label
             self.add_edge(groups[-1][0], node)
             # close every group that ends after this leaf

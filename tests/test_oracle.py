@@ -105,6 +105,10 @@ class TestCountMinimumCovers:
         }
         assert relabeled == originals
 
+    def test_eight_leaf_frozen(self, caterpillar8, frozen_counts):
+        expected = frozen_counts["caterpillar8_minimum_cover_count"]["value"]
+        assert count_minimum_covers(caterpillar8, allow_large=True) == expected
+
     def test_size_guard_without_override(self):
         with pytest.raises(ValueError):
             count_minimum_covers(random_tree(8, 0))
@@ -143,13 +147,39 @@ class TestVerifyTheorems:
             verify_theorems(random_tree(7, 0))
 
 
+def reference_masks(m, size):
+    """Subsets of size ``size`` in combination-rank order, pair i as bit m-1-i."""
+    return [sum(1 << (m - 1 - i) for i in c) for c in combinations(range(m), size)]
+
+
+class TestMaskGenerator:
+    @pytest.mark.parametrize("low_bits", [0, 1, 3, None])
+    def test_matches_combinations(self, low_bits, monkeypatch):
+        import numpy as np
+
+        import tripletcover.oracle as oracle
+
+        if low_bits is not None:
+            monkeypatch.setattr(oracle, "_LOW_BITS", low_bits)
+        for m in range(13):
+            for size in range(m + 1):
+                chunks = list(oracle._mask_chunks(m, size))
+                assert np.concatenate(chunks).tolist() == reference_masks(m, size)
+
+    def test_low_layout_is_read_only(self):
+        import tripletcover.oracle as oracle
+
+        for row in oracle._low_rows(5):
+            assert not row.flags.writeable
+
+
 class TestThreads:
     def test_chunked_run_matches_sequential(self, five_leaf, monkeypatch):
         import tripletcover.oracle as oracle
 
         sequential = count_minimum_covers(five_leaf)
         baseline = [c.pairs for c in enumerate_covers(five_leaf, 7)]
-        monkeypatch.setattr(oracle, "_CHUNK", 16)
+        monkeypatch.setattr(oracle, "_LOW_BITS", 4)  # a chunk per value of the 6 high bits
         assert count_minimum_covers(five_leaf) == sequential
         assert [c.pairs for c in enumerate_covers(five_leaf, 7)] == baseline
 
@@ -157,7 +187,5 @@ class TestThreads:
         import tripletcover.oracle as oracle
 
         baseline = [c.pairs for c in enumerate_covers(five_leaf, 7)]
-        monkeypatch.setattr(oracle, "_CACHE_LIMIT", 8)  # force the streaming path
-        monkeypatch.setattr(oracle, "_CHUNK", 16)
-        monkeypatch.setattr(oracle, "_mask_cache", {})
+        monkeypatch.setattr(oracle, "_LOW_BITS", 0)  # one mask per chunk
         assert [c.pairs for c in enumerate_covers(five_leaf, 7)] == baseline

@@ -98,6 +98,12 @@ class TestParsing:
             parse_newick("((a,b),c,(d,));")
         assert info.value.position == 12
 
+    def test_duplicate_label_reports_label_and_position(self):
+        with pytest.raises(NewickParseError) as info:
+            parse_newick("((a,b),c,(d,a));")
+        assert "duplicate label 'a'" in str(info.value)
+        assert info.value.position == 13
+
 
 class TestSerialization:
     def test_three_leaf_canonical(self):
