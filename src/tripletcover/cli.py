@@ -21,7 +21,7 @@ from .cover import (
     TripletCover,
     cover_report,
 )
-from .oracle import count_minimum_covers, enumerate_covers, verify_theorems
+from .oracle import _count_covers, verify_theorems
 from .shelling import (
     NotAdditiveError,
     NotShellableError,
@@ -201,10 +201,7 @@ def _run_enumerate(args: argparse.Namespace) -> int:
     if args.max_n is not None and tree.n_leaves > args.max_n:
         raise ValueError(f"tree has {tree.n_leaves} leaves, above --max-n {args.max_n}")
     if args.size is not None:
-        if args.size == 2 * tree.n_leaves - 3:
-            count = count_minimum_covers(tree, allow_large=args.max_n == 8)
-        else:
-            count = len(enumerate_covers(tree, args.size))
+        count = _count_covers(tree, args.size, allow_large=args.max_n == 8)
         payload = {"n": tree.n_leaves, "size": args.size, "cover_count": count}
         _emit(payload, args.fmt, _scalar_lines)
         return EXIT_OK

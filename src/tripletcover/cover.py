@@ -7,6 +7,11 @@ all three of its pairs in the set.  Supporting triples are exactly the
 triangles of the cover graph that are transversal to the vertex's
 3-partition, so enumeration walks the triangle list rather than all
 leaf triples.
+
+A ``TripletCover`` is held as its cover graph, a ``SimpleGraph`` on the
+universe built once per cover: pairs, multiplicities (vertex degrees),
+membership and the triangle list (common neighbours along each edge)
+all read that one adjacency.
 """
 
 from __future__ import annotations
@@ -31,61 +36,61 @@ class NotACoverError(CoverError):
 
 
 class TripletCover:
-    """An unordered set of leaf pairs over a fixed label universe."""
+    """An unordered set of leaf pairs over a fixed label universe, held as
+    its cover graph: the universe is the vertex set, the pairs are the
+    edges.  The graph is built once and every read goes through it."""
 
-    __slots__ = ("_pairs", "_universe")
+    __slots__ = ("_graph",)
 
     def __init__(self, pairs: Iterable[tuple[str, str]], universe: Iterable[str]):
-        self._universe = frozenset(universe)
-        if not self._universe:
+        universe = frozenset(universe)
+        if not universe:
             raise CoverError("empty universe")
         norm = set()
         for a, b in pairs:
             pair = _norm_pair(a, b)
-            if pair[0] not in self._universe or pair[1] not in self._universe:
+            if pair[0] not in universe or pair[1] not in universe:
                 raise CoverError(f"pair {pair} uses labels outside the universe")
             norm.add(pair)
-        self._pairs = frozenset(norm)
+        self._graph = SimpleGraph(universe, norm)
 
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self._pairs))
+        return self._graph.edges
 
     @property
     def universe(self) -> frozenset[str]:
-        return self._universe
+        return self._graph.vertices
 
     def multiplicity(self, x: str) -> int:
         """Number of pairs containing ``x`` (its cover-graph degree)."""
-        if x not in self._universe:
+        if x not in self.universe:
             raise CoverError(f"unknown label {x!r}")
-        return sum(1 for pair in self._pairs if x in pair)
+        return self._graph.degree(x)
 
     def min_multiplicity(self) -> int:
         """Smallest multiplicity over the whole universe."""
-        return min(self.multiplicity(x) for x in self._universe)
+        return min(map(self._graph.degree, self.universe))
 
     def multiplicities(self) -> dict[str, int]:
-        return {x: self.multiplicity(x) for x in sorted(self._universe)}
+        return {x: self._graph.degree(x) for x in sorted(self.universe)}
 
     def remove_incident(self, x: str) -> "TripletCover":
         """Drop every pair containing ``x``; the universe shrinks by ``x``."""
-        if x not in self._universe:
+        if x not in self.universe:
             raise CoverError(f"unknown label {x!r}")
-        return TripletCover(
-            (p for p in self._pairs if x not in p), self._universe - {x}
-        )
+        return TripletCover((p for p in self.pairs if x not in p), self.universe - {x})
 
     def with_pairs(self, extra: Iterable[tuple[str, str]]) -> "TripletCover":
-        return TripletCover(list(self._pairs) + list(extra), self._universe)
+        return TripletCover(self.pairs + tuple(extra), self.universe)
 
     def without_pair(self, pair: tuple[str, str]) -> "TripletCover":
         pair = _norm_pair(*pair)
-        return TripletCover(self._pairs - {pair}, self._universe)
+        return TripletCover((p for p in self.pairs if p != pair), self.universe)
 
     def cover_graph(self) -> SimpleGraph:
         """The graph on the universe whose edges are the pairs."""
-        return SimpleGraph(self._universe, self._pairs)
+        return self._graph
 
     def to_text(self) -> str:
         return "\n".join(f"{a} {b}" for a, b in self.pairs) + "\n"
@@ -95,10 +100,10 @@ class TripletCover:
         return cls(parse_pairs(text), universe)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return _norm_pair(*pair) in self._pairs
+        return self._graph.has_edge(*_norm_pair(*pair))
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return self._graph.n_edges
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self.pairs)
@@ -106,13 +111,13 @@ class TripletCover:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripletCover):
             return NotImplemented
-        return self._pairs == other._pairs and self._universe == other._universe
+        return self.pairs == other.pairs and self.universe == other.universe
 
     def __hash__(self) -> int:
-        return hash((self._pairs, self._universe))
+        return hash((self.pairs, self.universe))
 
     def __repr__(self) -> str:
-        return f"TripletCover({len(self)} pairs on {len(self._universe)} labels)"
+        return f"TripletCover({len(self)} pairs on {len(self.universe)} labels)"
 
 
 def parse_pairs(text: str) -> tuple[tuple[str, str], ...]:
@@ -205,30 +210,16 @@ def _check_universe(tree: PhyloTree, cover: TripletCover) -> None:
 
 
 def triangles(cover: TripletCover) -> tuple[tuple[str, str, str], ...]:
-    """All triangles of the cover graph, via adjacency bitsets."""
-    labels = sorted(cover.universe)
-    index = {x: i for i, x in enumerate(labels)}
-    adj = [0] * len(labels)
-    for a, b in cover.pairs:
-        ia, ib = index[a], index[b]
-        adj[ia] |= 1 << ib
-        adj[ib] |= 1 << ia
-    found = []
-    for i in range(len(labels)):
-        higher = adj[i] >> (i + 1)
-        j = i + 1
-        while higher:
-            if higher & 1:
-                common = (adj[i] & adj[j]) >> (j + 1)
-                k = j + 1
-                while common:
-                    if common & 1:
-                        found.append((labels[i], labels[j], labels[k]))
-                    common >>= 1
-                    k += 1
-            higher >>= 1
-            j += 1
-    return tuple(found)
+    """All triangles (a, b, c), a < b < c, of the cover graph in
+    lexicographic order: the common neighbours c > b of each sorted edge
+    (a, b)."""
+    g = cover.cover_graph()
+    return tuple(
+        (a, b, c)
+        for a, b in g.edges
+        for c in sorted(g.neighbors(a) & g.neighbors(b))
+        if c > b
+    )
 
 
 def _supports(

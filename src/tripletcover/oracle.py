@@ -34,6 +34,7 @@ from .twotree import is_two_tree
 COUNT_LIMIT_DEFAULT = 7
 COUNT_LIMIT_HARD = 8
 SWEEP_LIMIT = 6
+SAMPLE_LIMIT = 50  # covers of size 2n-2 that verify_theorems also tests in full
 
 _LOW_BITS = 18
 
@@ -114,6 +115,8 @@ def _mask_chunks(n_pairs: int, size: int) -> Iterator[np.ndarray]:
 
 def _covers_in(ctx: _PairContext, size: int) -> np.ndarray:
     """Masks of all size-``size`` covers, in rank order."""
+    if not 0 <= size <= ctx.n_pairs:
+        raise ValueError(f"size must lie in [0, {ctx.n_pairs}], got {size}")
     return np.concatenate(
         [ctx.covers(chunk) for chunk in _mask_chunks(ctx.n_pairs, size)]
     )
@@ -132,9 +135,14 @@ def enumerate_covers(tree: PhyloTree, size: int) -> list[TripletCover]:
     order.  Supported for trees with up to 8 leaves."""
     _check_enumeration_size(tree, COUNT_LIMIT_HARD)
     ctx = _PairContext(tree)
-    if not 0 <= size <= ctx.n_pairs:
-        raise ValueError(f"size must lie in [0, {ctx.n_pairs}], got {size}")
     return [ctx.cover_of_mask(int(m)) for m in _covers_in(ctx, size)]
+
+
+def _count_covers(tree: PhyloTree, size: int, allow_large: bool = False) -> int:
+    """Number of covers of exactly ``size`` pairs, counted on the masks
+    alone; limited to 7 leaves, or 8 with ``allow_large``."""
+    _check_enumeration_size(tree, COUNT_LIMIT_HARD if allow_large else COUNT_LIMIT_DEFAULT)
+    return len(_covers_in(_PairContext(tree), size))
 
 
 def count_minimum_covers(tree: PhyloTree, allow_large: bool = False) -> int:
@@ -143,10 +151,7 @@ def count_minimum_covers(tree: PhyloTree, allow_large: bool = False) -> int:
     Limited to 7 leaves by default (already 352,716 subsets); pass
     ``allow_large=True`` to permit 8.
     """
-    limit = COUNT_LIMIT_HARD if allow_large else COUNT_LIMIT_DEFAULT
-    _check_enumeration_size(tree, limit)
-    ctx = _PairContext(tree)
-    return len(_covers_in(ctx, 2 * tree.n_leaves - 3))
+    return _count_covers(tree, 2 * tree.n_leaves - 3, allow_large)
 
 
 @dataclass
@@ -171,7 +176,7 @@ class EnumerationReport:
         return d
 
 
-def verify_theorems(tree: PhyloTree, sample_limit: int = 50) -> EnumerationReport:
+def verify_theorems(tree: PhyloTree) -> EnumerationReport:
     """Brute-force check of the size bound, the 2-tree characterization,
     the minimum-multiplicity value, and shellability on one tree.
 
@@ -184,7 +189,7 @@ def verify_theorems(tree: PhyloTree, sample_limit: int = 50) -> EnumerationRepor
       elimination order, minimum multiplicity exactly 2, and is
       shellable;
     * no enumerated cover of any other size has a 2-tree cover graph;
-    * sampled covers of size 2n-2 fail is_minimum.
+    * the first ``SAMPLE_LIMIT`` covers of size 2n-2 fail is_minimum.
     """
     _check_enumeration_size(tree, SWEEP_LIMIT)
     n = tree.n_leaves
@@ -240,7 +245,7 @@ def verify_theorems(tree: PhyloTree, sample_limit: int = 50) -> EnumerationRepor
                 cov = ctx.cover_of_mask(int(m))
                 if is_two_tree(cov.cover_graph()) is not None:
                     note(f"size-{size} cover with a 2-tree graph: {cov.pairs}")
-                if rank < sample_limit:
+                if rank < SAMPLE_LIMIT:
                     larger_sampled += 1
                     if is_minimum(tree, cov):
                         note(f"size-{size} cover classified minimum: {cov.pairs}")

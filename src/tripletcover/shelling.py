@@ -127,8 +127,13 @@ def find_witness(
 
 
 def _partner_sets(labels: tuple[str, ...], known: set) -> dict[str, set[str]]:
-    """Each leaf's partners: the leaves it forms a pair in ``known`` with."""
-    return {z: {w for w in labels if w != z and _norm_pair(z, w) in known} for z in labels}
+    """Each leaf's partners: the leaves it forms a sorted pair in ``known`` with."""
+    partners: dict[str, set[str]] = {z: set() for z in labels}
+    for a, b in known:
+        if a < b and a in partners and b in partners:
+            partners[a].add(b)
+            partners[b].add(a)
+    return partners
 
 
 def _witness(

@@ -261,6 +261,16 @@ class TestEnumerate:
         assert code == 2
         assert err == "error: enumeration supports 3 <= |X| <= 6 leaves, got 1500\n"
 
+    @pytest.mark.parametrize("size,count", [("5", 0), ("12", 0), ("13", 15892)])
+    def test_eight_leaves_need_max_n_for_every_size(self, size, count, capsys):
+        code = main(["enumerate", "--tree", CAT8, "--size", size])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: enumeration supports 3 <= |X| <= 7 leaves, got 8\n"
+        code, out = run_cli(["enumerate", "--tree", CAT8, "--size", size, "--max-n", "8"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"n": 8, "size": int(size), "cover_count": count}
+
     @pytest.mark.parametrize("extra", [[], ["--size", "7"]])
     def test_max_n_below_leaf_count(self, extra, capsys):
         code, out = run_cli(["enumerate", "--tree", FIVE, "--max-n", "4"] + extra, capsys)

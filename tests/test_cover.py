@@ -181,6 +181,21 @@ class TestSupportGraph:
         for v in five_leaf.interior_ids:
             assert 0 <= g.vertex_degree(v) <= 3
 
+    def test_forced_leaves(self, five_leaf, five_leaf_cover):
+        # with ad and bd added, u is supported by abc and abd, v by acd, bcd
+        # and bce, and w by bde and cde: the forced leaves are what each
+        # vertex's triples share
+        u = vertex_adjacent_to(five_leaf, "a", "b")
+        v = vertex_adjacent_to(five_leaf, "c")
+        w = vertex_adjacent_to(five_leaf, "d", "e")
+        g = support_graph(five_leaf, five_leaf_cover.with_pairs([("a", "d"), ("b", "d")]))
+        assert g.forced_leaves(u) == ("a", "b")
+        assert g.forced_leaves(v) == ("c",)
+        assert g.forced_leaves(w) == ("d", "e")
+        # one supporting triple per vertex: all three of its leaves are forced
+        g = support_graph(five_leaf, five_leaf_cover)
+        assert g.forced_leaves(v) == ("b", "c", "e")
+
 
 class TestMultiplicity:
     def test_five_leaf(self, five_leaf_cover):
