@@ -21,7 +21,7 @@ from .cover import (
     TripletCover,
     cover_report,
 )
-from .oracle import _count_covers, verify_theorems
+from .oracle import COUNT_LIMIT_HARD, _count_covers, verify_theorems
 from .shelling import (
     NotAdditiveError,
     NotShellableError,
@@ -87,9 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="exhaustive oracle sweep")
     p.add_argument("--tree", required=True)
     p.add_argument("--size", type=int, help="count covers of one size only")
-    p.add_argument(
-        "--max-n", type=int, dest="max_n", help="raise the leaf-count guard (<= 8)"
-    )
+    guard = f"raise the leaf-count guard (<= {COUNT_LIMIT_HARD})"
+    p.add_argument("--max-n", type=int, dest="max_n", help=guard)
     add_format(p)
 
     p = sub.add_parser("random", help="generate a uniform random tree")
@@ -196,12 +195,12 @@ def _run_reconstruct(args: argparse.Namespace) -> int:
 
 def _run_enumerate(args: argparse.Namespace) -> int:
     tree = _load_tree(args.tree)
-    if args.max_n is not None and args.max_n > 8:
-        raise ValueError("--max-n cannot exceed 8")
+    if args.max_n is not None and args.max_n > COUNT_LIMIT_HARD:
+        raise ValueError(f"--max-n cannot exceed {COUNT_LIMIT_HARD}")
     if args.max_n is not None and tree.n_leaves > args.max_n:
         raise ValueError(f"tree has {tree.n_leaves} leaves, above --max-n {args.max_n}")
     if args.size is not None:
-        count = _count_covers(tree, args.size, allow_large=args.max_n == 8)
+        count = _count_covers(tree, args.size, allow_large=args.max_n == COUNT_LIMIT_HARD)
         payload = {"n": tree.n_leaves, "size": args.size, "cover_count": count}
         _emit(payload, args.fmt, _scalar_lines)
         return EXIT_OK

@@ -8,10 +8,10 @@ triangles of the cover graph that are transversal to the vertex's
 3-partition, so enumeration walks the triangle list rather than all
 leaf triples.
 
-A ``TripletCover`` is held as its cover graph, a ``SimpleGraph`` on the
-universe built once per cover: pairs, multiplicities (vertex degrees),
-membership and the triangle list (common neighbours along each edge)
-all read that one adjacency.
+A ``TripletCover`` is its own cover graph: a ``SimpleGraph`` on the
+universe whose edges are the pairs, checked and built once per cover.
+Pairs, multiplicities (vertex degrees), membership and the triangle
+list (common neighbours along each edge) all read that one adjacency.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ class NotACoverError(CoverError):
     """An operation requiring a triplet cover received a non-cover."""
 
 
-class TripletCover:
-    """An unordered set of leaf pairs over a fixed label universe, held as
-    its cover graph: the universe is the vertex set, the pairs are the
-    edges.  The graph is built once and every read goes through it."""
+class TripletCover(SimpleGraph):
+    """An unordered set of leaf pairs over a fixed label universe.  A cover
+    is its own cover graph: the universe is the vertex set and the pairs
+    are the edges, so every graph read works on the cover directly."""
 
-    __slots__ = ("_graph",)
+    __slots__ = ()
 
     def __init__(self, pairs: Iterable[tuple[str, str]], universe: Iterable[str]):
         universe = frozenset(universe)
@@ -52,28 +52,23 @@ class TripletCover:
             if pair[0] not in universe or pair[1] not in universe:
                 raise CoverError(f"pair {pair} uses labels outside the universe")
             norm.add(pair)
-        self._graph = SimpleGraph(universe, norm)
+        self._fill(universe, norm)
 
-    @property
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return self._graph.edges
-
-    @property
-    def universe(self) -> frozenset[str]:
-        return self._graph.vertices
+    pairs = SimpleGraph.edges
+    universe = SimpleGraph.vertices
 
     def multiplicity(self, x: str) -> int:
         """Number of pairs containing ``x`` (its cover-graph degree)."""
         if x not in self.universe:
             raise CoverError(f"unknown label {x!r}")
-        return self._graph.degree(x)
+        return self.degree(x)
 
     def min_multiplicity(self) -> int:
         """Smallest multiplicity over the whole universe."""
-        return min(map(self._graph.degree, self.universe))
+        return min(map(self.degree, self.universe))
 
     def multiplicities(self) -> dict[str, int]:
-        return {x: self._graph.degree(x) for x in sorted(self.universe)}
+        return {x: self.degree(x) for x in sorted(self.universe)}
 
     def remove_incident(self, x: str) -> "TripletCover":
         """Drop every pair containing ``x``; the universe shrinks by ``x``."""
@@ -89,8 +84,8 @@ class TripletCover:
         return TripletCover((p for p in self.pairs if p != pair), self.universe)
 
     def cover_graph(self) -> SimpleGraph:
-        """The graph on the universe whose edges are the pairs."""
-        return self._graph
+        """The cover itself: the graph on the universe whose edges are the pairs."""
+        return self
 
     def to_text(self) -> str:
         return "\n".join(f"{a} {b}" for a, b in self.pairs) + "\n"
@@ -100,10 +95,10 @@ class TripletCover:
         return cls(parse_pairs(text), universe)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return self._graph.has_edge(*_norm_pair(*pair))
+        return self.has_edge(*_norm_pair(*pair))
 
     def __len__(self) -> int:
-        return self._graph.n_edges
+        return len(self._edges)
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self.pairs)

@@ -259,72 +259,62 @@ def reconstruct_tree(
     if have - wanted:
         raise ValueError(f"distances given for unknown pairs {sorted(have - wanted)}")
 
-    # node ids: leaves first in label order, attachment vertices after
+    # node ids: leaves in label order, then attachment vertices; d[i][k] == d[k][i]
     leaf_ids = {name: i for i, name in enumerate(names)}
-    dist: dict[tuple[int, int], float] = {
-        (leaf_ids[a], leaf_ids[b]): full.get(a, b) for a, b in wanted
-    }
-    active = sorted(leaf_ids.values())
-    next_id = len(names)
+    d: list[dict[int, float]] = [{} for _ in names]
+    for (a, b), value in full.items():
+        d[leaf_ids[a]][leaf_ids[b]] = d[leaf_ids[b]][leaf_ids[a]] = value
+    active = list(range(len(names)))
     edges: list[tuple[int, int]] = []
     lengths: dict[tuple[int, int], float] = {}
 
-    def d(i: int, j: int) -> float:
-        return dist[(i, j) if i < j else (j, i)]
-
-    def put(i: int, j: int, value: float) -> None:
-        dist[(i, j) if i < j else (j, i)] = value
-
-    def find_cherry() -> tuple[int, int] | None:
-        for pos, i in enumerate(active):
-            for j in active[pos + 1 :]:
-                gaps = [d(i, k) - d(j, k) for k in active if k != i and k != j]
-                if max(gaps) - min(gaps) <= tolerance:
-                    return (i, j)
-        return None
-
     while len(active) > 3:
-        cherry = find_cherry()
-        if cherry is None:
+        for i, j in combinations(active, 2):
+            gaps = [d[i][k] - d[j][k] for k in active if k != i and k != j]
+            if max(gaps) - min(gaps) <= tolerance:
+                break
+        else:
             raise NotAdditiveError(
                 "no cherry found: distances violate the four-point condition"
             )
-        i, j = cherry
         k0 = next(k for k in active if k != i and k != j)
-        li = (d(i, j) + d(i, k0) - d(j, k0)) / 2.0
-        lj = d(i, j) - li
+        li = (d[i][j] + d[i][k0] - d[j][k0]) / 2.0
+        lj = d[i][j] - li
         if li <= tolerance or lj <= tolerance:
             raise NotAdditiveError(
                 f"implied nonpositive edge length ({li!r} / {lj!r})"
             )
-        m = next_id
-        next_id += 1
+        # m outnumbers every id so far, so appending it keeps active sorted
+        m = len(d)
+        d.append({})
         edges.append((m, i))
         edges.append((m, j))
-        lengths[(i, m) if i < m else (m, i)] = li
-        lengths[(j, m) if j < m else (m, j)] = lj
+        lengths[(i, m)] = li
+        lengths[(j, m)] = lj
+        active.remove(i)
+        active.remove(j)
         for k in active:
-            if k != i and k != j:
-                put(m, k, (d(i, k) + d(j, k) - d(i, j)) / 2.0)
-        active = sorted(set(active) - {i, j} | {m})
+            d[m][k] = d[k][m] = (d[i][k] + d[j][k] - d[i][j]) / 2.0
+        active.append(m)
 
     i, j, k = active
-    center = next_id
+    center = len(d)
     for tip, other1, other2 in ((i, j, k), (j, i, k), (k, i, j)):
-        pendant = (d(tip, other1) + d(tip, other2) - d(other1, other2)) / 2.0
+        pendant = (d[tip][other1] + d[tip][other2] - d[other1][other2]) / 2.0
         if pendant <= tolerance:
             raise NotAdditiveError(
                 f"implied nonpositive edge length ({pendant!r}) at the final vertex"
             )
         edges.append((center, tip))
-        lengths[(tip, center) if tip < center else (center, tip)] = pendant
+        lengths[(tip, center)] = pendant
 
     tree = PhyloTree(edges, {v: name for name, v in leaf_ids.items()}, lengths)
     rebuilt = tree.leaf_distances("all")
-    deviation = rebuilt.max_difference(full.restrict(rebuilt.pairs()))
+    deviation = rebuilt.max_difference(full)
     if deviation > tolerance:
         raise NotAdditiveError(
             f"distances are not additive: max deviation {deviation!r} "
             f"exceeds tolerance {tolerance!r}"
         )
     return tree
+

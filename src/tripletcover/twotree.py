@@ -22,23 +22,28 @@ class SimpleGraph:
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         vset = frozenset(vertices)
         eset = set()
-        adj: dict[str, set[str]] = {v: set() for v in vset}
         for a, b in edges:
             if a == b:
                 raise ValueError(f"loop at {a!r}")
             if a not in vset or b not in vset:
                 raise ValueError(f"edge {a, b} uses a vertex outside the vertex set")
             eset.add((a, b) if a < b else (b, a))
+        self._fill(vset, eset)
+
+    def _fill(self, vset: frozenset[str], eset: set[tuple[str, str]]) -> None:
+        """Store ``eset``, checked sorted pairs of distinct members of ``vset``."""
+        adj: dict[str, set[str]] = {v: set() for v in vset}
+        for a, b in eset:
             adj[a].add(b)
             adj[b].add(a)
         self._vertices = vset
         self._edges = tuple(sorted(eset))
         self._adj = {v: frozenset(adj[v]) for v in vset}
 
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "SimpleGraph":
+    @staticmethod
+    def from_edges(edges: Iterable[tuple[str, str]]) -> "SimpleGraph":
         edges = list(edges)
-        return cls({x for e in edges for x in e}, edges)
+        return SimpleGraph({x for e in edges for x in e}, edges)
 
     @property
     def vertices(self) -> frozenset[str]:
@@ -160,31 +165,34 @@ def is_two_d_tree(g: SimpleGraph) -> tuple[str, ...] | None:
         return (a, b)
 
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    active = set(g.vertices)
     dead_ends: set[frozenset[str]] = set()
-
-    def peel(active: set[str]) -> list[str] | None:
+    # levels[i] yields the peel candidates left at depth i (the sorted active
+    # set on entry); peeled[i] is the vertex depth i removed, with its
+    # neighbours then.  Depth-first, so orders match a recursive search.
+    levels = [iter(sorted(active))]
+    peeled: list[tuple[str, tuple[str, ...]]] = []
+    while levels:
+        v = next((v for v in levels[-1] if len(adj[v]) == 2), None)
+        if v is None:
+            dead_ends.add(frozenset(active))
+            levels.pop()
+            if peeled:
+                v, saved = peeled.pop()
+                active.add(v)
+                for u in saved:
+                    adj[u].add(v)
+            continue
+        saved = tuple(adj[v])
+        for u in saved:
+            adj[u].discard(v)
+        active.remove(v)
+        peeled.append((v, saved))
         if len(active) == 2:
             a, b = sorted(active)
-            return [a, b] if b in adj[a] else None
-        key = frozenset(active)
-        if key in dead_ends:
-            return None
-        for v in sorted(active):
-            if len(adj[v]) != 2:
-                continue
-            saved = tuple(adj[v])
-            for u in saved:
-                adj[u].discard(v)
-            active.remove(v)
-            result = peel(active)
-            active.add(v)
-            for u in saved:
-                adj[u].add(v)
-            if result is not None:
-                result.append(v)
-                return result
-        dead_ends.add(key)
-        return None
-
-    order = peel(set(g.vertices))
-    return tuple(order) if order is not None else None
+            if b in adj[a]:
+                return (a, b) + tuple(v for v, _ in reversed(peeled))
+        # a two-vertex set without its edge, or a known dead end, has no candidates
+        dead = len(active) == 2 or frozenset(active) in dead_ends
+        levels.append(iter(() if dead else sorted(active)))
+    return None

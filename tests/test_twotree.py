@@ -33,6 +33,56 @@ def random_sparse_graph(seed: int) -> SimpleGraph:
     return SimpleGraph(verts, edges)
 
 
+def grown_two_tree(k: int, seed: int) -> SimpleGraph:
+    """A random 2-tree on ``k`` vertices, each new vertex joined to both
+    ends of a random existing edge."""
+    rng = random.Random(seed)
+    edges = [("1", "2")]
+    for i in range(3, k + 1):
+        p, q = rng.choice(edges)
+        edges.extend([(p, str(i)), (q, str(i))])
+    return SimpleGraph.from_edges(edges)
+
+
+def recursive_two_d_tree(g: SimpleGraph) -> tuple[str, ...] | None:
+    """The recursive backtracking search that ``is_two_d_tree`` replaced:
+    the same candidate order and dead-end memo, one Python frame per
+    peeled vertex."""
+    if g.n_edges != 2 * g.n_vertices - 3:
+        return None
+    if g.n_vertices == 2:
+        return tuple(sorted(g.vertices))
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    dead_ends: set[frozenset[str]] = set()
+
+    def peel(active: set[str]) -> list[str] | None:
+        if len(active) == 2:
+            a, b = sorted(active)
+            return [a, b] if b in adj[a] else None
+        key = frozenset(active)
+        if key in dead_ends:
+            return None
+        for v in sorted(active):
+            if len(adj[v]) != 2:
+                continue
+            saved = tuple(adj[v])
+            for u in saved:
+                adj[u].discard(v)
+            active.remove(v)
+            result = peel(active)
+            active.add(v)
+            for u in saved:
+                adj[u].add(v)
+            if result is not None:
+                result.append(v)
+                return result
+        dead_ends.add(key)
+        return None
+
+    order = peel(set(g.vertices))
+    return tuple(order) if order is not None else None
+
+
 class TestIsTwoTree:
     def test_triangle(self):
         order = is_two_tree(K3)
@@ -124,6 +174,21 @@ class TestIsTwoDTree:
     def test_agrees_with_brute_force(self, seed):
         g = random_sparse_graph(seed)
         assert (is_two_d_tree(g) is not None) == brute_force_two_d_tree(g)
+
+    def test_orders_match_the_recursive_search(self):
+        graphs = [random_sparse_graph(seed) for seed in range(400)]
+        graphs += [grown_two_tree(k, seed) for k in (3, 8, 40) for seed in range(5)]
+        graphs += [K3, C4, D5]
+        assert sum(recursive_two_d_tree(g) is not None for g in graphs) > 40
+        for g in graphs:
+            assert is_two_d_tree(g) == recursive_two_d_tree(g)
+
+    def test_deep_peel_without_recursion_error(self):
+        # a 2-tree on 1200 vertices peels 1198 levels deep, past Python's
+        # default recursion limit; so does the graph of a 1200-leaf minimum cover
+        g = grown_two_tree(1200, 1)
+        order = is_two_d_tree(g)
+        assert order is not None and sorted(order) == sorted(g.vertices)
 
 
 class TestDegreeTwoVertices:
